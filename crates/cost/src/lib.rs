@@ -12,7 +12,9 @@
 //! * [`operators`] — scan and join operator implementations
 //!   ([`JoinOp::NestedLoop`], [`JoinOp::Hash`], [`JoinOp::SortMerge`])
 //!   with their time and buffer cost formulas, and the sort orders they
-//!   require/produce (interesting orders, Section 5.4).
+//!   require/produce (interesting orders, Section 5.4). The formulas read
+//!   only per-split facts ([`SplitFacts`]), so the DP prices every
+//!   candidate of one split from a single set of facts.
 //! * [`vector`] — fixed-arity cost vectors and (approximate) Pareto
 //!   domination used by single- and multi-objective pruning.
 //! * [`batch`] — struct-of-arrays cost layout so the DP can prune a whole
@@ -27,5 +29,5 @@ pub mod vector;
 
 pub use batch::CostBatch;
 pub use cardinality::CardinalityEstimator;
-pub use operators::{JoinOp, Order, ScanOp, JOIN_OPS};
+pub use operators::{JoinOp, Order, ScanOp, SplitFacts, JOIN_OPS};
 pub use vector::{CostVector, Objective};

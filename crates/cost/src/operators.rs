@@ -102,13 +102,54 @@ pub struct JoinApplication {
     pub output_order: Order,
 }
 
+/// The split-invariant inputs of the join cost formulas for one split
+/// `(left, right)`.
+///
+/// Every value here is per split: it depends only on the two operand
+/// sets, never on which operand plans are joined or by which operator.
+/// The DP kernels therefore build one `SplitFacts` per split and price
+/// every (left plan × right plan × operator) candidate of that split from
+/// it with [`JoinOp::apply_split`], instead of re-reading cardinalities,
+/// re-summing tuple widths and re-scanning the predicates per candidate.
+/// The fields are private so that facts can only come from
+/// [`SplitFacts::new`], i.e. always describe a real split.
+#[derive(Clone, Copy, Debug, PartialEq)]
+pub struct SplitFacts {
+    /// Estimated cardinality of the outer (left) operand.
+    lc: f64,
+    /// Estimated cardinality of the inner (right) operand.
+    rc: f64,
+    /// Tuple width in bytes of the outer operand.
+    lbytes: f64,
+    /// Tuple width in bytes of the inner operand.
+    rbytes: f64,
+    /// Join attributes `(outer, inner)` a sort-merge join would sort on:
+    /// the endpoints of the lowest-numbered predicate crossing the split,
+    /// or `None` for a cross product (sort-merge inapplicable).
+    sort_merge: Option<(u8, u8)>,
+}
+
+impl SplitFacts {
+    /// Gathers the facts of joining `left` (outer) with `right` (inner).
+    pub fn new(est: &mut CardinalityEstimator<'_>, left: TableSet, right: TableSet) -> Self {
+        SplitFacts {
+            lc: est.cardinality(left),
+            rc: est.cardinality(right),
+            lbytes: est.tuple_bytes(left),
+            rbytes: est.tuple_bytes(right),
+            sort_merge: sort_merge_attributes(est, left, right),
+        }
+    }
+}
+
 impl JoinOp {
     /// Computes the incremental cost of joining `left` (outer) with `right`
     /// (inner), given the orders the operand plans deliver. Returns `None`
     /// if the operator is inapplicable (sort-merge join on a cross product).
     ///
-    /// `sel` must be the crossing selectivity `query.join_selectivity(left,
-    /// right)`; it is passed in because callers already computed it.
+    /// Equivalent to [`JoinOp::apply_split`] over `SplitFacts::new(est,
+    /// left, right)`; callers pricing many candidates of one split should
+    /// build the facts once and call `apply_split` directly.
     pub fn apply(
         &self,
         est: &mut CardinalityEstimator<'_>,
@@ -117,15 +158,33 @@ impl JoinOp {
         left_order: Order,
         right_order: Order,
     ) -> Option<JoinApplication> {
-        let lc = est.cardinality(left);
-        let rc = est.cardinality(right);
+        self.apply_split(&SplitFacts::new(est, left, right), left_order, right_order)
+    }
+
+    /// The join cost formulas: the incremental cost of this operator on
+    /// the split described by `facts`, given the orders the operand plans
+    /// deliver. Returns `None` if the operator is inapplicable (sort-merge
+    /// join on a cross product).
+    pub fn apply_split(
+        &self,
+        facts: &SplitFacts,
+        left_order: Order,
+        right_order: Order,
+    ) -> Option<JoinApplication> {
+        let SplitFacts {
+            lc,
+            rc,
+            lbytes,
+            rbytes,
+            sort_merge,
+        } = *facts;
         match self {
             JoinOp::NestedLoop => {
                 // Time: every outer tuple compared with every inner tuple.
                 // Buffer: one block of each operand; approximate with the
                 // inner tuple width (the block that is repeatedly rescanned).
                 let time = lc * rc;
-                let buffer = est.tuple_bytes(right);
+                let buffer = rbytes;
                 Some(JoinApplication {
                     cost: CostVector::new(time, buffer),
                     output_order: left_order, // preserves outer order
@@ -135,7 +194,7 @@ impl JoinOp {
                 // Time: build inner (2 touches/tuple) + probe outer.
                 // Buffer: the hash table holds the inner operand.
                 let time = 2.0 * rc + lc;
-                let buffer = rc * est.tuple_bytes(right);
+                let buffer = rc * rbytes;
                 Some(JoinApplication {
                     cost: CostVector::new(time, buffer),
                     // Hash join output follows the probe (outer) order.
@@ -143,18 +202,18 @@ impl JoinOp {
                 })
             }
             JoinOp::SortMerge => {
-                let (la, ra) = sort_merge_attributes(est, left, right)?;
+                let (la, ra) = sort_merge?;
                 let want_left = Order::OnAttribute(la);
                 let want_right = Order::OnAttribute(ra);
                 let mut time = lc + rc; // the merge itself
                 let mut buffer: f64 = 0.0;
                 if left_order != want_left {
                     time += sort_cost(lc);
-                    buffer = buffer.max(lc * est.tuple_bytes(left));
+                    buffer = buffer.max(lc * lbytes);
                 }
                 if right_order != want_right {
                     time += sort_cost(rc);
-                    buffer = buffer.max(rc * est.tuple_bytes(right));
+                    buffer = buffer.max(rc * rbytes);
                 }
                 Some(JoinApplication {
                     cost: CostVector::new(time, buffer),
@@ -334,6 +393,31 @@ mod tests {
             )
             .unwrap();
         assert_eq!(a.output_order, Order::OnAttribute(0));
+    }
+
+    #[test]
+    fn split_facts_price_like_apply() {
+        let q = two_table_query(300.0, 40.0, 0.05);
+        let mut est = CardinalityEstimator::new(&q);
+        let (l, r) = (TableSet::singleton(1), TableSet::singleton(0));
+        let facts = SplitFacts::new(&mut est, l, r);
+        assert_eq!(facts.lc, 40.0);
+        assert_eq!(facts.rc, 300.0);
+        assert_eq!((facts.lbytes, facts.rbytes), (10.0, 10.0));
+        // The predicate is 0-1; seen from the (1, 0) split it flips.
+        assert_eq!(facts.sort_merge, Some((1, 0)));
+        let orders = [Order::None, Order::OnAttribute(0), Order::OnAttribute(1)];
+        for op in JOIN_OPS {
+            for lo in orders {
+                for ro in orders {
+                    assert_eq!(
+                        op.apply(&mut est, l, r, lo, ro),
+                        op.apply_split(&facts, lo, ro),
+                        "{op:?} {lo:?} {ro:?}"
+                    );
+                }
+            }
+        }
     }
 
     #[test]

@@ -32,7 +32,7 @@
 use crate::memo::MemoStore;
 use crate::stats::WorkerStats;
 use crate::worker::{bushy_split_setup, finish, for_each_bushy_left, PartitionOutcome};
-use mpq_cost::{CardinalityEstimator, CostBatch, Objective, ScanOp, JOIN_OPS};
+use mpq_cost::{CardinalityEstimator, CostBatch, Objective, ScanOp, SplitFacts, JOIN_OPS};
 use mpq_model::{Query, TableSet};
 use mpq_partition::{AdmissibleSets, ConstraintSet, PlanSpace};
 use mpq_plan::{PlanEntry, PruningPolicy};
@@ -195,7 +195,8 @@ impl<'q> Scratch<'q> {
 
 /// Generates every candidate joining `left` with `right` into the
 /// struct-of-arrays batch (phase A of the per-set build). Same pair and
-/// operator order as the reference kernel's `combine_operands`.
+/// operator order as the reference kernel's `combine_operands`; the split's
+/// cost facts are gathered once and shared by every candidate.
 #[inline]
 #[allow(clippy::too_many_arguments)]
 fn collect_pair(
@@ -208,10 +209,14 @@ fn collect_pair(
     cands: &mut Vec<PlanEntry>,
     plans_generated: &mut u64,
 ) {
+    if left_entries.is_empty() || right_entries.is_empty() {
+        return;
+    }
+    let facts = SplitFacts::new(est, left, right);
     for (li, le) in left_entries.iter().enumerate() {
         for (ri, re) in right_entries.iter().enumerate() {
             for op in JOIN_OPS {
-                let Some(app) = op.apply(est, left, right, le.order, re.order) else {
+                let Some(app) = op.apply_split(&facts, le.order, re.order) else {
                     continue;
                 };
                 let cost = le.cost.add(&re.cost).add(&app.cost);

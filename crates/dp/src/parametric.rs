@@ -20,7 +20,7 @@
 
 use crate::memo::{DenseMemo, MemoStore, SlotMemo};
 use crate::stats::WorkerStats;
-use mpq_cost::{CardinalityEstimator, CostVector, Objective, ScanOp, JOIN_OPS};
+use mpq_cost::{CardinalityEstimator, CostVector, Objective, ScanOp, SplitFacts, JOIN_OPS};
 use mpq_model::{Query, TableSet};
 use mpq_partition::{AdmissibleSets, ConstraintSet, Grouping, PlanSpace};
 use mpq_plan::{Plan, PlanEntry, PlanNode, PruningPolicy};
@@ -149,15 +149,22 @@ pub fn optimize_parametric_partition(
         };
         for (l, r) in splits {
             stats.splits_tried += 1;
-            let left_entries = memo.entries(l).to_vec();
-            let right_entries = memo.entries(r).to_vec();
+            let left_entries = memo.entries(l);
+            let right_entries = memo.entries(r);
+            if left_entries.is_empty() || right_entries.is_empty() {
+                continue;
+            }
+            // One set of split facts per scenario, shared by every
+            // candidate of the split.
+            let facts_lo = SplitFacts::new(&mut lo, l, r);
+            let facts_hi = SplitFacts::new(&mut hi, l, r);
             for (li, le) in left_entries.iter().enumerate() {
                 for (ri, re) in right_entries.iter().enumerate() {
                     for op in JOIN_OPS {
-                        let Some(al) = op.apply(&mut lo, l, r, le.order, re.order) else {
+                        let Some(al) = op.apply_split(&facts_lo, le.order, re.order) else {
                             continue;
                         };
-                        let Some(ah) = op.apply(&mut hi, l, r, le.order, re.order) else {
+                        let Some(ah) = op.apply_split(&facts_hi, le.order, re.order) else {
                             continue;
                         };
                         // Orders agree across scenarios (same predicates).

@@ -24,7 +24,7 @@ use crate::arena::{optimize_partition_parallel, ParallelPolicy};
 use crate::memo::{DenseMemo, MemoStore, SlotMemo};
 use crate::reconstruct::reconstruct_plan;
 use crate::stats::WorkerStats;
-use mpq_cost::{CardinalityEstimator, Objective, ScanOp, JOIN_OPS};
+use mpq_cost::{CardinalityEstimator, Objective, ScanOp, SplitFacts, JOIN_OPS};
 use mpq_model::{Query, TableSet};
 use mpq_partition::{partition_constraints, AdmissibleSets, ConstraintSet, Grouping, PlanSpace};
 use mpq_plan::{Plan, PlanEntry, PruningPolicy};
@@ -197,7 +197,8 @@ pub(crate) fn finish<M: MemoStore>(
 /// Generates and prunes every plan joining `left` with `right`
 /// (the `Join` + `Prune` core shared by all split enumerations): each
 /// surviving plan pair of the operands is combined with each applicable
-/// join operator.
+/// join operator. The split's cost facts are gathered once and shared by
+/// every candidate.
 #[inline]
 #[allow(clippy::too_many_arguments)]
 pub(crate) fn combine_operands(
@@ -210,10 +211,14 @@ pub(crate) fn combine_operands(
     slot: &mut Vec<PlanEntry>,
     stats: &mut WorkerStats,
 ) {
+    if left_entries.is_empty() || right_entries.is_empty() {
+        return;
+    }
+    let facts = SplitFacts::new(est, left, right);
     for (li, le) in left_entries.iter().enumerate() {
         for (ri, re) in right_entries.iter().enumerate() {
             for op in JOIN_OPS {
-                let Some(app) = op.apply(est, left, right, le.order, re.order) else {
+                let Some(app) = op.apply_split(&facts, le.order, re.order) else {
                     continue;
                 };
                 let cost = le.cost.add(&re.cost).add(&app.cost);
