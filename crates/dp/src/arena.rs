@@ -209,9 +209,6 @@ fn collect_pair(
     cands: &mut Vec<PlanEntry>,
     plans_generated: &mut u64,
 ) {
-    if left_entries.is_empty() || right_entries.is_empty() {
-        return;
-    }
     let facts = SplitFacts::new(est, left, right);
     for (li, le) in left_entries.iter().enumerate() {
         for (ri, re) in right_entries.iter().enumerate() {

@@ -151,9 +151,6 @@ pub fn optimize_parametric_partition(
             stats.splits_tried += 1;
             let left_entries = memo.entries(l);
             let right_entries = memo.entries(r);
-            if left_entries.is_empty() || right_entries.is_empty() {
-                continue;
-            }
             // One set of split facts per scenario, shared by every
             // candidate of the split.
             let facts_lo = SplitFacts::new(&mut lo, l, r);

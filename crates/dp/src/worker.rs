@@ -211,9 +211,6 @@ pub(crate) fn combine_operands(
     slot: &mut Vec<PlanEntry>,
     stats: &mut WorkerStats,
 ) {
-    if left_entries.is_empty() || right_entries.is_empty() {
-        return;
-    }
     let facts = SplitFacts::new(est, left, right);
     for (li, le) in left_entries.iter().enumerate() {
         for (ri, re) in right_entries.iter().enumerate() {
